@@ -12,6 +12,11 @@ analytically since the fused-pipeline rework) — and checks it against
 * a bit-exactness cross-check of the streaming pipeline against the eager
   reference pipeline, so a "fast but wrong" regression cannot pass.
 
+The N-way L2 simulator's lockstep kernel is gated by
+``check_lockstep_kernel``: on an n=18 plan's L2 stream (1024 sets, 16
+ways) it is bit-identical to the depth-pass kernel and at least 1.5x
+faster, both kernels timed in the same run.
+
 It also gates the batched search engine (``check_search_budget``): the
 engine-backed DP search must be bit-identical to the scalar per-candidate
 search, must measure each distinct candidate exactly once on a cold store,
@@ -129,6 +134,73 @@ def check_exactness() -> None:
                     f"exactness regression: streamed {streamed} != eager {eager} "
                     f"({machine.config.name}, n={size}, seed={seed})"
                 )
+
+
+def check_lockstep_kernel() -> None:
+    """The lockstep N-way kernel must be exact and pay for itself.
+
+    On one generated n=18 plan's L2 stream (the L1 miss stream of each
+    streamed chunk, 1024 sets, 16 ways — the regime where ``simulate``
+    picks the lockstep kernel), the lockstep kernel is bit-identical to the
+    depth-pass kernel (every miss mask and the final LRU stacks) and at
+    least 1.5x faster, measured in this run as interleaved medians of 3.
+    """
+    import numpy as np
+
+    from repro.machine.cache import NWayLRUCache, make_cache
+    from repro.machine.configs import opteron_like_config
+    from repro.machine.trace import stream_line_chunks
+    from repro.wht.interpreter import ExecutionStats, PlanInterpreter
+    from repro.wht.random_plans import RSUSampler
+
+    config = opteron_like_config(noise_sigma=0.0)
+    plan = RSUSampler().sample(18, rng=SMOKE_SEED)
+    l1 = make_cache(config.l1)
+    l2_chunks = []
+    for chunk in stream_line_chunks(
+        PlanInterpreter().iter_nest_blocks(plan, stats=ExecutionStats(n=plan.n)),
+        line_size=config.l1.line_size,
+        element_size=config.element_size,
+    ):
+        miss = l1.simulate(chunk.lines << config.l1.offset_bits, check=False)
+        l2_chunks.append(chunk.lines[miss])
+
+    def run(kernel):
+        cache = NWayLRUCache(config.l2)
+        simulate = getattr(cache, kernel)
+        start = time.perf_counter()
+        masks = [simulate(lines) for lines in l2_chunks]
+        return time.perf_counter() - start, masks, cache._stack
+
+    timings = {"_simulate_passes": [], "_simulate_lockstep": []}
+    results = {}
+    for rep in range(3):
+        kernels = list(timings) if rep % 2 == 0 else list(timings)[::-1]
+        for kernel in kernels:
+            seconds, masks, stack = run(kernel)
+            timings[kernel].append(seconds)
+            results[kernel] = (masks, stack)
+    (pass_masks, pass_stack), (lock_masks, lock_stack) = results.values()
+    if not (
+        all(np.array_equal(a, b) for a, b in zip(pass_masks, lock_masks))
+        and np.array_equal(pass_stack, lock_stack)
+    ):
+        raise SystemExit(
+            "lockstep exactness regression: lockstep and depth-pass kernels "
+            "differ on the n=18 L2 stream"
+        )
+    passes = float(np.median(timings["_simulate_passes"]))
+    lockstep = float(np.median(timings["_simulate_lockstep"]))
+    accesses = sum(lines.shape[0] for lines in l2_chunks)
+    print(
+        f"lockstep kernel: {accesses} L2 accesses, depth-pass {passes:.3f} s, "
+        f"lockstep {lockstep:.3f} s ({passes / lockstep:.2f}x)"
+    )
+    if passes < 1.5 * lockstep:
+        raise SystemExit(
+            f"lockstep speed regression: lockstep kernel {lockstep:.3f} s is "
+            f"not 1.5x faster than the depth-pass kernel's {passes:.3f} s"
+        )
 
 
 def check_search_budget() -> None:
@@ -848,6 +920,11 @@ def main() -> int:
 
     check_exactness()
     print("exactness: streaming pipeline matches eager reference")
+    check_lockstep_kernel()
+    print(
+        "lockstep: the lockstep N-way kernel is bit-identical to the "
+        "depth-pass kernel on an n=18 L2 stream and >= 1.5x faster"
+    )
     check_batch_identity()
     print(
         "batch identity: cross-plan fused prepare_batch matches the eager "

@@ -1,6 +1,6 @@
 """Cache simulators.
 
-Four simulators are provided, all operating on byte addresses:
+Four simulator classes are provided, all operating on byte addresses:
 
 * :class:`SetAssociativeLRUCache` — the reference simulator: any associativity,
   true LRU replacement, one Python-level update per access.  Kept as the
@@ -15,12 +15,17 @@ Four simulators are provided, all operating on byte addresses:
   lines, so an access hits iff it equals the previous or the
   previous-previous distinct line of its set.
 * :class:`NWayLRUCache` — arbitrary associativity ``A`` (the 16-way L2 and
-  the associativity ablation), vectorised via set-grouped stack distances:
-  within one set, an access hits iff fewer than ``A`` distinct lines occurred
-  since its previous occurrence.  The hit depth is resolved with ``A - 1``
-  vectorised passes that track the contents of each LRU stack position over
-  time (see DESIGN.md), so cost is ``O(A · n)`` NumPy work with no per-access
-  Python loop.
+  the associativity ablation), with two exact vectorised kernels chosen per
+  chunk from the geometry and the chunk's shape.  The *depth-pass* kernel
+  works on set-grouped stack distances: within one set, an access hits iff
+  fewer than ``A`` distinct lines occurred since its previous occurrence,
+  resolved with ``A - 1`` vectorised passes that track the contents of each
+  LRU stack position over time, so cost is ``O(A · n)`` NumPy work with no
+  per-access Python loop.  The *lockstep* kernel advances every touched
+  set's LRU stack by one access per step, a few ufunc calls on an
+  ``A × sets`` array, so its Python loop runs once per access of the
+  busiest set; it wins once a chunk spreads over enough sets (see
+  DESIGN.md §5).
 
 All simulators implement the same small interface (``access``, ``simulate``,
 ``reset``, ``stats``) so the memory hierarchy can mix them freely, and all
@@ -191,6 +196,19 @@ def _set_sort_key(sets: np.ndarray, num_sets: int) -> np.ndarray:
     if num_sets <= (1 << 31):
         return sets.astype(np.int32)
     return sets
+
+
+#: The lockstep N-way kernel runs only on chunks that touch at least this
+#: many sets.  Each step pays a fixed cost of a few ufunc dispatches,
+#: amortised over one access per touched set; below 128 sets the depth-pass
+#: kernel is faster for 4- and 8-way caches (measured crossover table in
+#: DESIGN.md §5).
+_LOCKSTEP_MIN_SETS = 128
+
+#: ... and whose padded ``steps × touched sets`` matrix holds at most this
+#: many cells per access, so a chunk skewed onto a few sets keeps O(chunk)
+#: memory and never pays mostly for padding.
+_LOCKSTEP_MAX_CELLS = 2
 
 
 class SetAssociativeLRUCache:
@@ -456,25 +474,36 @@ class TwoWayLRUCache:
 
 
 class NWayLRUCache:
-    """Arbitrary-associativity LRU cache with a vectorised trace simulation.
+    """Arbitrary-associativity LRU cache with two exact vectorised kernels.
 
-    The simulation works on the set-grouped trace with runs of consecutive
-    identical lines removed (those are depth-1 hits).  In the remaining
-    *distinct* per-set sequence the LRU stack evolves mechanically: the
-    incoming line always lands at stack position 1 and the old position-1
-    line always drops to position 2, while position ``d`` receives the old
-    position ``d-1`` line exactly at steps whose hit depth is ``>= d``.
-    Tracking "content of stack position ``d`` before each step" therefore
-    reduces to a masked forward-fill of the position ``d-1`` contents, and
-    ``A - 1`` such passes classify every access: an access hits iff its tag
-    equals the content of some position ``<= A``.  This is the stack-distance
-    criterion — an access hits iff fewer than ``A`` distinct lines were
-    referenced in its set since its previous occurrence — computed without a
-    per-access Python loop.
+    Both kernels share one warm state, the per-set LRU stack ``_stack``, so
+    ``simulate`` may pick either for each chunk and warm continuation stays
+    exact across a switch.  The choice depends only on the geometry and the
+    chunk's shape (:meth:`_lockstep_counts`); there is no option for it.
 
-    Warm continuation across ``simulate`` calls is exact: the per-set LRU
-    stack state is replayed as virtual leading accesses (LRU way first) and
+    The *depth-pass* kernel (:meth:`_simulate_passes`) works on the
+    set-grouped trace with runs of consecutive identical lines removed
+    (those are depth-1 hits).  In the remaining *distinct* per-set sequence
+    the LRU stack evolves mechanically: the incoming line always lands at
+    stack position 1 and the old position-1 line always drops to position 2,
+    while position ``d`` receives the old position ``d-1`` line exactly at
+    steps whose hit depth is ``>= d``.  Tracking "content of stack position
+    ``d`` before each step" therefore reduces to a masked forward-fill of the
+    position ``d-1`` contents, and ``A - 1`` such passes classify every
+    access: an access hits iff its tag equals the content of some position
+    ``<= A``.  This is the stack-distance criterion — an access hits iff
+    fewer than ``A`` distinct lines were referenced in its set since its
+    previous occurrence — computed without a per-access Python loop.  Warm
+    state is replayed as virtual leading accesses (LRU way first) and
     re-extracted from the tail of the simulated chunk.
+
+    The *lockstep* kernel (:meth:`_simulate_lockstep`) uses the independence
+    of LRU sets across NumPy lanes instead: it lays the chunk out as a
+    ``steps × touched sets`` matrix and advances every touched set's stack
+    by one access per step.  Its cost is one handful of ufunc calls per
+    access of the busiest set, so it wins when a chunk spreads over many
+    sets (the Opteron's 1024-set L2) and loses on narrow geometries, where
+    the depth-pass kernel stays in use.
     """
 
     def __init__(self, config: CacheConfig):
@@ -507,10 +536,113 @@ class NWayLRUCache:
         arr = _as_address_array(addresses, check=check)
         if arr.size == 0:
             return np.zeros(0, dtype=bool)
+        lines = arr >> self.config.offset_bits
+        counts = self._lockstep_counts(lines)
+        if counts is None:
+            misses = self._simulate_passes(lines)
+        else:
+            misses = self._simulate_lockstep(lines, counts)
+        self.stats.record(arr.shape[0], int(misses.sum()))
+        return misses
+
+    def _lockstep_counts(self, lines: np.ndarray) -> np.ndarray | None:
+        """Per-set access counts of ``lines`` if the lockstep kernel should run.
+
+        ``None`` selects the depth-pass kernel: for a geometry or chunk with
+        fewer than :data:`_LOCKSTEP_MIN_SETS` touched sets, or for a chunk so
+        skewed onto a few sets that its padded ``steps × touched sets``
+        matrix would exceed :data:`_LOCKSTEP_MAX_CELLS` cells per access.
+        Only the ``num_sets`` counts are allocated to decide, so memory stays
+        O(chunk) whichever kernel runs.
+        """
+        num_sets = self.config.num_sets
+        if num_sets < _LOCKSTEP_MIN_SETS:
+            return None
+        counts = np.bincount(lines & (num_sets - 1), minlength=num_sets)
+        touched = int(np.count_nonzero(counts))
+        if touched < _LOCKSTEP_MIN_SETS:
+            return None
+        if int(counts.max()) * touched > _LOCKSTEP_MAX_CELLS * lines.shape[0]:
+            return None
+        return counts
+
+    def _simulate_lockstep(
+        self, lines: np.ndarray, counts: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Lockstep kernel: miss mask of nonnegative ``lines``, state updated.
+
+        Column ``j`` of the ``steps × touched sets`` matrix holds the
+        accesses of the ``j``-th touched set in trace order, padded after its
+        last access with that same final line.  Re-touching the MRU line is
+        a depth-0 hit that changes nothing, so padding steps are no-ops, and
+        sets the chunk does not touch are not columns at all.  One step
+        compares the access row with the ``A × touched`` stack, takes each
+        column's hit depth, shifts the rows above it down by one and writes
+        the access into the MRU row.  ``counts`` are the per-set access
+        counts of ``lines`` when the caller has them.
+        """
         config = self.config
         num_sets = config.num_sets
         associativity = config.associativity
-        lines = arr >> config.offset_bits
+        n = lines.shape[0]
+        key = _set_sort_key(lines & (num_sets - 1), num_sets)
+        if counts is None:
+            counts = np.bincount(key, minlength=num_sets)
+        order = np.argsort(key, kind="stable")
+        touched = np.nonzero(counts)[0]
+        width = touched.shape[0]
+        per_set = counts[touched]
+        steps = int(per_set.max())
+        starts = np.cumsum(per_set) - per_set
+
+        # matrix[r, j]: the r-th access of touched set j (set-grouped
+        # position starts[j] + r), clamped to the set's last access.
+        grouped = lines[order]
+        source = np.minimum(np.arange(steps)[:, None], per_set[None, :] - 1)
+        source += starts
+        matrix = grouped[source]
+        del source
+
+        stack = np.ascontiguousarray(self._stack[touched].T)
+        miss_matrix = np.empty((steps, width), dtype=bool)
+        equal = np.empty((associativity, width), dtype=bool)
+        depth_type = np.min_scalar_type(associativity)
+        # Row d of the stack weighs A - d: the weighted max over the (at
+        # most one) matching row is A - hit depth, and 0 on a miss.
+        weights = np.arange(associativity, 0, -1, dtype=depth_type)[:, None]
+        weighted = np.empty((associativity, width), dtype=depth_type)
+        depth_code = np.empty(width, dtype=depth_type)
+        shift = np.empty((associativity - 1, width), dtype=bool)
+        above = np.empty((associativity - 1, width), dtype=np.int64)
+        for step in range(steps):
+            incoming = matrix[step]
+            # Lines are nonnegative, so the -1 "invalid" sentinel never
+            # matches, and a valid line sits at most once in a set's stack.
+            np.equal(stack, incoming, out=equal)
+            np.multiply(equal.view(np.uint8), weights, out=weighted)
+            np.maximum.reduce(weighted, axis=0, out=depth_code)
+            np.equal(depth_code, 0, out=miss_matrix[step])
+            # Row d >= 1 takes row d-1's line iff d <= hit depth, i.e.
+            # A - d >= depth code (every row shifts on a miss).
+            np.greater_equal(weights[1:], depth_code, out=shift)
+            above[...] = stack[:-1]
+            np.copyto(stack[1:], above, where=shift)
+            stack[0] = incoming
+        self._stack[touched] = stack.T
+
+        # Set-grouped position starts[j] + r sits at miss_matrix[r, j].
+        flat = np.arange(n) * width - np.repeat(
+            starts * width - np.arange(width), per_set
+        )
+        misses = np.empty(n, dtype=bool)
+        misses[order] = miss_matrix.reshape(-1)[flat]
+        return misses
+
+    def _simulate_passes(self, lines: np.ndarray) -> np.ndarray:
+        """Depth-pass kernel: miss mask of nonnegative ``lines``, state updated."""
+        config = self.config
+        num_sets = config.num_sets
+        associativity = config.associativity
 
         # Replay warm state as virtual leading accesses for the sets touched
         # by this chunk: LRU way first, so the MRU way ends up most recent.
@@ -615,8 +747,6 @@ class NWayLRUCache:
         if present is not None:
             self._stack[present] = -1
         self._stack[r_keys[keep], rank[keep]] = r_lines[keep]
-
-        self.stats.record(arr.shape[0], int(misses.sum()))
         return misses
 
 

@@ -149,6 +149,40 @@ class TestPrepareBatchParity:
         plans = [random_plan(n, rng=seed) for seed in range(2) for n in (3, 5, 6)]
         assert_batch_matches_reference(machine, plans, reference=reference_prepare)
 
+    def test_wide_l2_runs_the_lockstep_kernel_bit_identically(self, monkeypatch):
+        # One-element lines keep n small while the 16-way L2 has 256 sets,
+        # above the lockstep crossover, and the n=13 footprint (64 KB)
+        # overflows it, so the fused batch really simulates L2 in lockstep.
+        import dataclasses
+
+        from repro.machine.cache import NWayLRUCache
+        from repro.machine.machine import MachineConfig
+
+        config = MachineConfig(
+            name="wide-l2",
+            l1=CacheConfig(256, 8, 2, name="L1"),
+            l2=CacheConfig(32 * 1024, 8, 16, name="L2"),
+        )
+        assert config.l2.num_sets == 256
+        lockstep = NWayLRUCache._simulate_lockstep
+        calls = []
+
+        def spy(cache, lines, counts=None):
+            calls.append(lines.shape[0])
+            return lockstep(cache, lines, counts)
+
+        monkeypatch.setattr(NWayLRUCache, "_simulate_lockstep", spy)
+        plans = [random_plan(13, rng=seed) for seed in range(3)]
+        batched = SimulatedMachine(config).prepare_batch(plans)
+        assert calls
+        reference = dataclasses.replace(config, vectorized_caches=False)
+        for plan, prep in zip(plans, batched):
+            assert prep.hierarchy_stats.l2_misses > 0
+            single = SimulatedMachine(config).prepare(plan)
+            oracle = SimulatedMachine(reference).prepare(plan)
+            assert prep.hierarchy_stats == single.hierarchy_stats
+            assert prep.hierarchy_stats == oracle.hierarchy_stats
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_property_random_batches(self, seed):

@@ -334,6 +334,145 @@ class TestNWayLRU:
         assert np.array_equal(single, np.concatenate(parts))
 
 
+def oracle_stacks_match(cache, oracle):
+    """The kernel's per-set line stacks, as tags, equal the oracle's sets."""
+    index_bits = cache.config.index_bits
+    for index, row in enumerate(cache._stack):
+        tags = [int(line) >> index_bits for line in row if line >= 0]
+        if tags != oracle._sets[index]:
+            return False
+    return True
+
+
+def chunk_lines(rng, config, length, spread):
+    """Nonnegative lines over ``spread`` sets (all sets for ``None``).
+
+    Tags come from ``2 * associativity`` values, so both hits at every
+    depth and evictions occur; ``spread`` of 1 or a few sets gives a chunk
+    skewed onto those sets.
+    """
+    num_sets = config.num_sets
+    if spread is None:
+        sets = rng.integers(0, num_sets, size=length)
+    else:
+        sets = rng.choice(num_sets, size=spread, replace=False)[
+            rng.integers(0, spread, size=length)
+        ]
+    tags = rng.integers(0, 2 * config.associativity, size=length)
+    return (tags << config.index_bits) | sets
+
+
+class TestNWayKernels:
+    """Both N-way kernels, called directly, against the per-access oracle.
+
+    The geometries are wide (at least the lockstep crossover of 128 sets),
+    where ``simulate`` picks the lockstep kernel for spread-out chunks.
+    """
+
+    @given(
+        num_sets=st.sampled_from([256, 1024]),
+        assoc=st.sampled_from([4, 8, 16]),
+        seed=st.integers(0, 10**6),
+        chunks=st.lists(
+            st.tuples(
+                st.integers(1, 1500),
+                st.sampled_from([None, 1, 3, 64]),
+                st.sampled_from(["passes", "lockstep"]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_warm_chunks_match_oracle(self, num_sets, assoc, seed, chunks):
+        # Chunks alternate kernels at random, and the skewed ones leave warm
+        # sets untouched, so a kernel must leave those stacks exactly as the
+        # other kernel left them.
+        config = CacheConfig(num_sets * assoc * 8, 8, assoc)
+        rng = np.random.default_rng(seed)
+        oracle = SetAssociativeLRUCache(config)
+        cache = NWayLRUCache(config)
+        for length, spread, kernel in chunks:
+            lines = chunk_lines(rng, config, length, spread)
+            expected = oracle.simulate(lines << config.offset_bits)
+            if kernel == "passes":
+                misses = cache._simulate_passes(lines)
+            else:
+                misses = cache._simulate_lockstep(lines)
+            assert np.array_equal(misses, expected)
+            assert oracle_stacks_match(cache, oracle)
+
+    @pytest.mark.parametrize("num_sets", [256, 1024])
+    @pytest.mark.parametrize("assoc", [4, 8, 16])
+    def test_warm_sets_without_accesses_keep_their_stacks(self, num_sets, assoc):
+        config = CacheConfig(num_sets * assoc * 8, 8, assoc)
+        rng = np.random.default_rng(num_sets + assoc)
+        oracle = SetAssociativeLRUCache(config)
+        cache = NWayLRUCache(config)
+        # Warm every set, then touch only half of them, then all again.
+        for spread in (None, num_sets // 2, None):
+            lines = chunk_lines(rng, config, 4 * num_sets, spread)
+            expected = oracle.simulate(lines << config.offset_bits)
+            assert np.array_equal(cache._simulate_lockstep(lines), expected)
+            assert oracle_stacks_match(cache, oracle)
+
+    def test_simulate_dispatches_wide_chunks_to_lockstep(self, monkeypatch):
+        config = CacheConfig(1024 * 16 * 8, 8, 16)
+        rng = np.random.default_rng(1)
+        lines = chunk_lines(rng, config, 64 * 1024, None)
+        cache = NWayLRUCache(config)
+        assert cache._lockstep_counts(lines) is not None
+        calls = []
+        monkeypatch.setattr(
+            cache, "_simulate_passes", lambda lines: calls.append(lines)
+        )
+        misses = cache.simulate(lines << config.offset_bits)
+        assert not calls
+        assert np.array_equal(
+            misses,
+            SetAssociativeLRUCache(config).simulate(lines << config.offset_bits),
+        )
+
+    def test_narrow_geometry_stays_on_the_pass_kernel(self):
+        # The scaled machine's 64-set L2 never reaches the crossover.
+        config = CacheConfig(64 * 1024, 64, 16)
+        lines = chunk_lines(np.random.default_rng(2), config, 4096, None)
+        assert NWayLRUCache(config)._lockstep_counts(lines) is None
+
+    def test_skewed_chunk_falls_back_without_padding_allocation(self, monkeypatch):
+        # 129 sets get one access each and one set gets the rest: the
+        # lockstep matrix would be steps x touched sets ~ 32x the chunk.
+        import tracemalloc
+
+        config = CacheConfig(1024 * 16 * 8, 8, 16)
+        rng = np.random.default_rng(3)
+        busy = chunk_lines(rng, config, 20000, 1)
+        spread = np.arange(1, 130) + (np.arange(129) << config.index_bits)
+        lines = np.concatenate([busy, spread])
+        cache = NWayLRUCache(config)
+        counts = np.bincount(lines & (config.num_sets - 1), minlength=config.num_sets)
+        steps, touched = int(counts.max()), int(np.count_nonzero(counts))
+        assert touched >= 128 and steps * touched > 2 * lines.shape[0]
+        assert cache._lockstep_counts(lines) is None
+
+        def refuse(lines, counts=None):
+            raise AssertionError("lockstep kernel ran on a skewed chunk")
+
+        monkeypatch.setattr(cache, "_simulate_lockstep", refuse)
+        tracemalloc.start()
+        try:
+            misses = cache.simulate(lines << config.offset_bits)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Under a quarter of even a one-byte-per-cell steps x num_sets matrix.
+        assert peak < steps * config.num_sets // 4
+        assert np.array_equal(
+            misses,
+            SetAssociativeLRUCache(config).simulate(lines << config.offset_bits),
+        )
+
+
 class TestFactories:
     def test_make_cache_picks_vectorised(self):
         assert isinstance(make_cache(CacheConfig(256, 32, 1)), DirectMappedCache)
